@@ -94,12 +94,8 @@ def _spawn_backend(bundle):
         acquire_fn=_sleeping_acquire,
     )
     access.start()
-    access._imu_batcher.batch_fn = (
-        lambda items: [_PINNED_SEED for _ in items]
-    )
-    access._rf_batcher.batch_fn = (
-        lambda items: [_PINNED_SEED for _ in items]
-    )
+    access.pipeline.imu_keyseed = lambda a_matrix: _PINNED_SEED
+    access.pipeline.rfid_keyseed = lambda r_matrix: _PINNED_SEED
     tcp = WaveKeyTCPServer(access, "127.0.0.1", 0)
     tcp.start()
     return access, tcp

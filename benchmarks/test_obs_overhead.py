@@ -97,8 +97,8 @@ def _fixed_acquire(request, rng):
 
 
 def _pin_seeds(server, seed):
-    server._imu_batcher.batch_fn = lambda items: [seed for _ in items]
-    server._rf_batcher.batch_fn = lambda items: [seed for _ in items]
+    server.pipeline.imu_keyseed = lambda a_matrix: seed
+    server.pipeline.rfid_keyseed = lambda r_matrix: seed
 
 
 def _min_session_s(bundle, n, traced: bool) -> float:

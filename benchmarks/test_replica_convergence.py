@@ -80,12 +80,8 @@ def _spawn_fleet(n, *, replicate, interval_s=INTERVAL_S):
             bundle, ServiceConfig(workers=2), acquire_fn=_fixed_acquire
         )
         access.start()
-        access._imu_batcher.batch_fn = (
-            lambda items: [_PINNED_SEED for _ in items]
-        )
-        access._rf_batcher.batch_fn = (
-            lambda items: [_PINNED_SEED for _ in items]
-        )
+        access.pipeline.imu_keyseed = lambda a_matrix: _PINNED_SEED
+        access.pipeline.rfid_keyseed = lambda r_matrix: _PINNED_SEED
         store = KeyStore(ttl_s=600.0, metrics=access.metrics)
         replicator = (
             Replicator(store, anti_entropy_interval_s=interval_s)

@@ -1,34 +1,15 @@
-"""Service extension: micro-batched vs per-request encoder throughput.
+"""Batched encoder inference against per-window inference.
 
-The access-control server (``repro.service``) coalesces the encoder
-forward passes of concurrent sessions into single stacked numpy calls.
-This benchmark quantifies that design against the per-request baseline
-(``max_batch_size=1``, every window encoded alone) under 64 concurrent
-client sessions — the "rush hour" regime where a lineup service hands a
-tag to a queue of visitors.
-
-Two measurements:
-
-* raw encoder compute — one stacked forward over N windows vs N single
-  forwards (no threads, pure numpy);
-* scheduled throughput — 64 client threads submitting through the
-  :class:`MicroBatcher`, batched policy vs per-request policy.
-
-Scaling: 64 concurrent sessions per WAVEKEY_BENCH_SCALE unit.
+The access-control server encodes each session's windows one at a time
+(``KeySeedPipeline.imu_keyseed``/``rfid_keyseed``); hyperparameter
+studies and ``batch_seed_pairs`` stack many windows through one
+forward pass (``imu_keyseeds``/``rfid_keyseeds``).  This check pins
+that the stacked pass is the same computation, not an approximation.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
 import numpy as np
-
-from benchmarks.conftest import bench_scale
-from repro.analysis import format_table
-from repro.service.batching import MicroBatcher
-
-CONCURRENCY = 64
 
 
 def _windows(n, rng):
@@ -45,95 +26,6 @@ def _windows(n, rng):
         )
         pairs.append((a_matrix, r_matrix))
     return pairs
-
-
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        best = min(best, fn())
-    return best
-
-
-def _run_clients(batcher, windows):
-    """Each client thread submits one window and waits for its seed."""
-    barrier = threading.Barrier(len(windows) + 1)
-    results = [None] * len(windows)
-
-    def client(i):
-        barrier.wait()
-        results[i] = batcher.submit(windows[i]).result(timeout=60.0)
-
-    threads = [
-        threading.Thread(target=client, args=(i,))
-        for i in range(len(windows))
-    ]
-    for t in threads:
-        t.start()
-    barrier.wait()
-    start = time.perf_counter()
-    for t in threads:
-        t.join()
-    return time.perf_counter() - start, results
-
-
-def test_microbatching_beats_per_request(pipeline):
-    n = CONCURRENCY * bench_scale()
-    rng = np.random.default_rng(31_001)
-    pairs = _windows(n, rng)
-    imu_windows = [a for a, _ in pairs]
-
-    # --- raw encoder compute: stacked forward vs N single forwards.
-    single_s = _best_of(
-        lambda: _time(lambda: [pipeline.imu_keyseed(a) for a in imu_windows])
-    )
-    stacked_s = _best_of(
-        lambda: _time(lambda: pipeline.imu_keyseeds(imu_windows))
-    )
-
-    # --- scheduled throughput through the MicroBatcher.
-    def scheduled(batch_size):
-        def once():
-            with MicroBatcher(
-                "imu",
-                pipeline.imu_keyseeds,
-                max_batch_size=batch_size,
-                max_wait_s=0.002,
-            ) as batcher:
-                elapsed, results = _run_clients(batcher, imu_windows)
-            assert all(r is not None for r in results)
-            return elapsed
-
-        return _best_of(once)
-
-    per_request_s = scheduled(1)
-    batched_s = scheduled(CONCURRENCY)
-
-    print()
-    print(format_table(
-        ["mode", "wall (ms)", "keys/s"],
-        [
-            ["single forwards", f"{single_s * 1e3:.1f}",
-             f"{n / single_s:.0f}"],
-            ["stacked forward", f"{stacked_s * 1e3:.1f}",
-             f"{n / stacked_s:.0f}"],
-            ["scheduler, batch=1", f"{per_request_s * 1e3:.1f}",
-             f"{n / per_request_s:.0f}"],
-            [f"scheduler, batch={CONCURRENCY}",
-             f"{batched_s * 1e3:.1f}", f"{n / batched_s:.0f}"],
-        ],
-        title=f"IMU-En throughput, {n} concurrent sessions",
-    ))
-
-    # The whole point of the subsystem: batching must win at this
-    # concurrency, both in raw compute and through the scheduler.
-    assert stacked_s < single_s, (
-        f"stacked forward ({stacked_s:.3f}s) not faster than "
-        f"{n} single forwards ({single_s:.3f}s)"
-    )
-    assert batched_s < per_request_s, (
-        f"micro-batched scheduling ({batched_s:.3f}s) not faster than "
-        f"per-request ({per_request_s:.3f}s) at concurrency {n}"
-    )
 
 
 def test_batched_results_match_per_request(pipeline):
@@ -153,8 +45,3 @@ def test_batched_results_match_per_request(pipeline):
     ):
         assert single.mismatch_rate(batched) <= 0.05
 
-
-def _time(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start

@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     repro attack {guess,mimic,spoof} [--trials N]
     repro serve [--dry-run] [--workers N] [--queue-capacity N] ...
     repro serve --listen HOST:PORT [--port-file F] [--sessions N]
-                [--no-event-loop] [--ticket-journal F] [--ticket-ttl S]
+                [--ticket-journal F] [--ticket-ttl S]
     repro access grant --connect HOST:PORT --ticket-file F [--seed N]
     repro access {query,open} --connect HOST:PORT --ticket-file F
                  [--target NAME]
@@ -33,9 +33,8 @@ Networked mode (:mod:`repro.net`): ``serve --listen HOST:PORT`` puts
 the access server on a TCP socket (port 0 picks a free port;
 ``--port-file`` writes the bound address for scripts), and
 ``establish``/``loadgen`` with ``--connect HOST:PORT`` run real
-client sessions against it over the wire.  Connections are served by
-the selectors event loop by default; ``--no-event-loop`` selects the
-thread-per-connection front end instead.
+client sessions against it over the wire.  Every connection is served
+by one selectors event loop.
 
 Secure access (:mod:`repro.access`): ``access grant`` runs one
 establishment and parks the resumption ticket in ``--ticket-file``;
@@ -133,10 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         add_obs_args(p)
         p.add_argument("--workers", type=int, default=2)
         p.add_argument("--queue-capacity", type=int, default=32)
-        p.add_argument("--batch-size", type=int, default=16,
-                       help="micro-batcher max batch size")
-        p.add_argument("--batch-wait-ms", type=float, default=2.0,
-                       help="micro-batcher max wait before launching")
         p.add_argument("--max-attempts", type=int, default=3)
         p.add_argument("--session-deadline", type=float, default=30.0,
                        help="wall-clock budget per session in seconds")
@@ -171,14 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port-file", metavar="FILE", default=None,
                        help="with --listen, write the bound HOST:PORT "
                             "to FILE once listening")
-    serve.add_argument("--event-loop", dest="event_loop",
-                       action="store_true", default=True,
-                       help="with --listen, serve connections on the "
-                            "selectors event loop (default)")
-    serve.add_argument("--no-event-loop", dest="event_loop",
-                       action="store_false",
-                       help="with --listen, use the thread-per-"
-                            "connection front end instead")
     serve.add_argument("--ticket-journal", metavar="FILE", default=None,
                        help="with --listen, persist resumption tickets "
                             "to an append-only journal (recovered on "
@@ -548,8 +535,6 @@ def _service_config(args):
     return ServiceConfig(
         workers=args.workers,
         queue_capacity=args.queue_capacity,
-        max_batch_size=args.batch_size,
-        max_batch_wait_s=args.batch_wait_ms / 1000.0,
         max_attempts=args.max_attempts,
         session_deadline_s=args.session_deadline,
         ot_pool_depth=args.ot_pool_depth,
@@ -561,8 +546,6 @@ def _print_service_header(config, bundle, out) -> None:
     print("WaveKey access-control server", file=out)
     print(f"  workers          : {config.workers}", file=out)
     print(f"  queue capacity   : {config.queue_capacity}", file=out)
-    print(f"  batch policy     : <= {config.max_batch_size} windows or "
-          f"{config.max_batch_wait_s * 1000:.1f} ms", file=out)
     print(f"  max attempts     : {config.max_attempts}", file=out)
     print(f"  session deadline : {config.session_deadline_s:.1f} s",
           file=out)
@@ -616,7 +599,7 @@ def _cmd_serve_net(args, config, bundle, out) -> int:
     import signal
     import time
 
-    from repro.net import ThreadedWaveKeyTCPServer, WaveKeyTCPServer
+    from repro.net import WaveKeyTCPServer
     from repro.service import WaveKeyAccessServer
 
     # Graceful shutdown on SIGTERM too: CI smoke jobs run the server
@@ -632,11 +615,6 @@ def _cmd_serve_net(args, config, bundle, out) -> int:
         pass  # not the main thread; fall back to default delivery
 
     host, port = _parse_hostport(args.listen)
-    front_end = (
-        WaveKeyTCPServer
-        if getattr(args, "event_loop", True)
-        else ThreadedWaveKeyTCPServer
-    )
     tracer = _obs_session(args)
     if getattr(args, "telemetry", False) and tracer is None:
         from repro.obs import Tracer
@@ -673,7 +651,7 @@ def _cmd_serve_net(args, config, bundle, out) -> int:
                 anti_entropy_interval_s=args.replication_interval,
                 tracer=tracer,
             )
-        with front_end(
+        with WaveKeyTCPServer(
             server, host, port, key_store=key_store, telemetry=telemetry,
             replicator=replicator,
         ) as tcp:

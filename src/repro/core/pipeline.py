@@ -28,8 +28,8 @@ class KeySeedPipeline:
     """Inference-time wrapper around a trained model bundle.
 
     Observability is opt-in and inherited: spans go to ``tracer`` when
-    given, else to the caller's active tracer (so the service's batched
-    path traces without plumbing); labeled per-encoder metrics land in
+    given, else to the caller's active tracer (so the service's encode
+    stage traces without plumbing); labeled per-encoder metrics land in
     ``metrics`` when a registry is supplied (the access-control server
     passes its own, giving service and pipeline one shared registry).
     """
@@ -117,9 +117,8 @@ class KeySeedPipeline:
     def imu_keyseeds(self, a_matrices) -> list:
         """``S_M`` for many A matrices through ONE encoder forward pass.
 
-        ``a_matrices`` is any sequence/stack of (200, 3) matrices; the
-        service layer's micro-batcher coalesces concurrent requests onto
-        this path.
+        ``a_matrices`` is any sequence/stack of (200, 3) matrices.  For
+        one window it returns exactly ``[imu_keyseed(a)]``.
         """
         tracer = resolve_tracer(self.tracer)
         start = time.monotonic()

@@ -14,13 +14,12 @@ left simulated:
 * :mod:`repro.net.eventloop` — a single-threaded ``selectors`` event
   loop (self-pipe wakeups, timer heap, loop health metrics) shared by
   the server and proxy front ends;
-* :mod:`repro.net.server` — TCP front ends over
-  :class:`repro.service.WaveKeyAccessServer`: the default event-loop
-  :class:`WaveKeyTCPServer` (constant thread count at any connection
-  count, protocol compute offloaded to the access server's workers)
-  and the original :class:`ThreadedWaveKeyTCPServer` baseline;
-  sessions feed through the existing admission queue and
-  micro-batcher, load shedding maps to wire error frames;
+* :mod:`repro.net.server` — the event-loop TCP front end
+  :class:`WaveKeyTCPServer` over
+  :class:`repro.service.WaveKeyAccessServer` (constant thread count at
+  any connection count, protocol compute offloaded to the access
+  server's workers); sessions feed through the existing admission
+  queue, load shedding maps to wire error frames;
 * :mod:`repro.net.client` — a blocking client SDK driving a full
   establishment from the device side, with connect/read timeouts and
   bounded exponential-backoff retries; after a successful agreement
@@ -83,7 +82,6 @@ from repro.net.proxy import (
     reorder_once,
 )
 from repro.net.server import (
-    ThreadedWaveKeyTCPServer,
     WaveKeyTCPServer,
     backend_stats_response,
     issue_ticket_grant,
@@ -111,7 +109,6 @@ __all__ = [
     "RevokeNotice",
     "StatsRequest",
     "StatsResponse",
-    "ThreadedWaveKeyTCPServer",
     "TicketGrant",
     "WaveKeyNetClient",
     "WaveKeyTCPServer",

@@ -1,16 +1,11 @@
-"""TCP front ends over :class:`WaveKeyAccessServer`.
+"""The TCP front end over :class:`WaveKeyAccessServer`.
 
-Two servers speak the same wire protocol:
-
-* :class:`WaveKeyTCPServer` — the default **event-loop** front end: a
-  single ``selectors`` thread owns every socket, per-connection state
-  machines (handshake -> request -> agreement rounds -> verdict) are
-  driven by readiness events, and the only per-session threads are the
-  access server's existing protocol workers.  Thousands of idle
-  connections cost file descriptors, not OS threads.
-* :class:`ThreadedWaveKeyTCPServer` — the original thread-per-connection
-  design, kept as the latency baseline for the scaling benchmarks and
-  behind ``repro serve --no-event-loop``.
+:class:`WaveKeyTCPServer` is an **event-loop** front end: a single
+``selectors`` thread owns every socket, per-connection state machines
+(handshake -> request -> agreement rounds -> verdict) are driven by
+readiness events, and the only per-session threads are the access
+server's existing protocol workers.  Thousands of idle connections cost
+file descriptors, not OS threads.
 
 The event-loop data path:
 
@@ -34,7 +29,7 @@ The event-loop data path:
   (``net.server.handshake_timeouts``) and the verdict budget; mid-round
   read deadlines ride the worker channel's bounded ``get``.
 
-Operational mapping onto the wire (both servers):
+Operational mapping onto the wire:
 
 * **load shedding** — a shed admission becomes an ``ErrorFrame`` with
   code ``busy`` carrying the queue depth, and the connection closes;
@@ -108,9 +103,7 @@ from repro.net.codec import (
 )
 from repro.net.connection import (
     SEND_CLOSED,
-    SEND_OK,
     SEND_OVERFLOW,
-    FrameConnection,
     OutboundBuffer,
 )
 from repro.net.eventloop import EVENT_READ, EVENT_WRITE, EventLoop
@@ -135,12 +128,11 @@ _FRAME_HEADER_BYTES = struct.calcsize("!IB")
 def issue_ticket_grant(front_end, record, peer: str) -> Optional[TicketGrant]:
     """Grant a resumption ticket for one successful agreement.
 
-    Shared by both front ends: when the session ended ``ESTABLISHED``
-    with a key on the record, derive the resumption secret
-    (:func:`derive_resume_secret` — the agreed key itself is never
-    stored), register it in the front end's :class:`KeyStore`, and
-    build the :class:`TicketGrant` to send ahead of the verdict.
-    Returns ``None`` for any non-resumable outcome.
+    When the session ended ``ESTABLISHED`` with a key on the record,
+    derive the resumption secret (:func:`derive_resume_secret` — the
+    agreed key itself is never stored), register it in the front end's
+    :class:`KeyStore`, and build the :class:`TicketGrant` to send ahead
+    of the verdict.  Returns ``None`` for any non-resumable outcome.
     """
     key = getattr(record, "key", None)
     if record.state is not SessionState.ESTABLISHED or key is None:
@@ -201,10 +193,10 @@ def answer_revocation(front_end, notice: RevokeNotice):
 def answer_replication(front_end, message):
     """Decide one ``REPL_*`` first-frame; returns the reply message.
 
-    Shared by both front ends: delegates to the attached
-    :class:`~repro.replica.replicator.Replicator` (non-blocking), or
-    refuses with a typed ``replication_disabled`` error so a
-    misdirected peer learns immediately rather than timing out.
+    Delegates to the attached :class:`~repro.replica.replicator.Replicator`
+    (non-blocking), or refuses with a typed ``replication_disabled``
+    error so a misdirected peer learns immediately rather than timing
+    out.
     """
     replicator = getattr(front_end, "replicator", None)
     if replicator is None:
@@ -279,10 +271,8 @@ class _NetAgreement:
     with the freshly encoded seeds.  Each call runs one wire round:
     seed grant, the three OT messages in both directions, the
     reconciliation challenge, the HMAC confirmation, and the mutual
-    confirmation ack.  ``conn`` is anything with the
-    :class:`FrameConnection` send/recv contract — the real socket
-    wrapper (threaded server) or a :class:`_WorkerChannel` bridging to
-    the event loop.
+    confirmation ack.  ``conn`` is the :class:`_WorkerChannel` bridging
+    the protocol worker to the event loop.
     """
 
     #: Network waits must not serialize other sessions' compute: the
@@ -531,10 +521,8 @@ class _ClientConn:
 class WaveKeyTCPServer:
     """Event-loop TCP front end over an access server.
 
-    Public surface (constructor, ``start``/``stop``/context manager,
-    ``address``, ``sessions_served``, ``metrics``, ``events``) matches
-    the original threaded server, so clients, tests, and the CLI are
-    agnostic to which front end is running.
+    Public surface: constructor, ``start``/``stop``/context manager,
+    ``address``, ``sessions_served``, ``metrics``, ``events``.
     """
 
     def __init__(
@@ -818,7 +806,7 @@ class WaveKeyTCPServer:
         if conn.state == _AGREEMENT:
             # The worker fails the round ("transport: ...") and the
             # server's retry policy may grant a fresh one — the
-            # connection survives, matching the threaded front end.
+            # connection survives.
             conn.inbox.put(exc)
             return
         self._transport_error(conn, exc)
@@ -1211,385 +1199,3 @@ class WaveKeyTCPServer:
         self._conns.discard(conn)
         conn.inbox.put(_CLOSED)
         self.metrics.gauge("net.conn.open").dec()
-
-
-# -- threaded front end (baseline) ---------------------------------------------
-
-
-class ThreadedWaveKeyTCPServer:
-    """Accept loop + per-connection handler threads over an access
-    server — the original front end, kept as the latency baseline for
-    the scaling benchmarks and behind ``repro serve --no-event-loop``.
-    Every connection costs one OS thread for its whole lifetime."""
-
-    def __init__(
-        self,
-        access_server: WaveKeyAccessServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        name: str = "server",
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        read_timeout_s: float = 10.0,
-        handshake_timeout_s: float = 5.0,
-        verdict_grace_s: float = 10.0,
-        key_store: Optional[KeyStore] = None,
-        op_handler=default_op_handler,
-        secure_idle_timeout_s: float = 30.0,
-        telemetry=None,
-        telemetry_flush_interval_s: float = 1.0,
-        replicator=None,
-    ):
-        self.access_server = access_server
-        self.name = name
-        self.max_frame_bytes = int(max_frame_bytes)
-        self.read_timeout_s = float(read_timeout_s)
-        self.handshake_timeout_s = float(handshake_timeout_s)
-        self.verdict_grace_s = float(verdict_grace_s)
-        # explicit None-check: an empty KeyStore is falsy (__len__)
-        self.key_store = (
-            key_store
-            if key_store is not None
-            else KeyStore(metrics=access_server.metrics)
-        )
-        self.replicator = replicator
-        self.op_handler = op_handler
-        self.secure_idle_timeout_s = float(secure_idle_timeout_s)
-        self.telemetry = telemetry
-        self.telemetry_flush_interval_s = float(telemetry_flush_interval_s)
-        self._telemetry_deadline = None
-        self._host = host
-        self._port = port
-        self._sock: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._handlers: list = []
-        self._conns: set = set()
-        self._lock = threading.Lock()
-        self._running = False
-        self.sessions_served = 0
-        self.address: Optional[Tuple[str, int]] = None
-
-    @property
-    def metrics(self):
-        return self.access_server.metrics
-
-    @property
-    def events(self):
-        return self.access_server.events
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "ThreadedWaveKeyTCPServer":
-        if self._running:
-            raise ServiceError("TCP server already started")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(128)
-        self._sock = sock
-        self.address = sock.getsockname()[:2]
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="wavekey-net-accept", daemon=True
-        )
-        self._accept_thread.start()
-        if self.replicator is not None:
-            self.replicator.attach(self)
-        self.events.emit(
-            "net_listening", host=self.address[0], port=self.address[1],
-            mode="threaded",
-        )
-        return self
-
-    def stop(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        if self.replicator is not None:
-            self.replicator.stop()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=5.0)
-        with self._lock:
-            conns = list(self._conns)
-            handlers = list(self._handlers)
-        for conn in conns:
-            conn.close()
-        for handler in handlers:
-            handler.join(timeout=5.0)
-        self.events.emit("net_stopped", sessions_served=self.sessions_served)
-
-    def __enter__(self) -> "ThreadedWaveKeyTCPServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- connection handling -----------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                client_sock, addr = self._sock.accept()
-            except OSError:
-                return  # listener closed by stop()
-            handler = threading.Thread(
-                target=self._handle,
-                args=(client_sock, addr),
-                name=f"wavekey-net-{addr[0]}:{addr[1]}",
-                daemon=True,
-            )
-            with self._lock:
-                self._handlers.append(handler)
-                self._handlers = [
-                    t for t in self._handlers if t.is_alive() or t is handler
-                ]
-            handler.start()
-
-    def _handle(self, client_sock: socket.socket, addr) -> None:
-        conn = FrameConnection(
-            client_sock,
-            max_frame_bytes=self.max_frame_bytes,
-            read_timeout_s=self.read_timeout_s,
-            metrics=self.metrics,
-            endpoint="server",
-        )
-        with self._lock:
-            self._conns.add(conn)
-        try:
-            self._converse(conn, addr)
-        except TransportError as exc:
-            self.metrics.counter(
-                "net.server.transport_errors"
-            ).inc()
-            self.events.emit(
-                "net_transport_error", peer=f"{addr[0]}:{addr[1]}",
-                error=str(exc),
-            )
-        except Exception as exc:  # noqa: BLE001 — never kill the handler
-            self.events.emit(
-                "net_handler_error", peer=f"{addr[0]}:{addr[1]}",
-                error=repr(exc),
-            )
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
-            conn.close()
-
-    def _converse(self, conn: FrameConnection, addr) -> None:
-        hello = conn.recv(timeout_s=self.handshake_timeout_s)
-        if isinstance(hello, StatsRequest):
-            self.metrics.counter("net.server.stats_requests").inc()
-            conn.send(backend_stats_response(self))
-            return
-        if isinstance(hello, TelemetryRequest):
-            self.metrics.counter("net.server.telemetry_requests").inc()
-            conn.send(backend_telemetry_response(self, drain=hello.drain))
-            return
-        if isinstance(hello, ResumeRequest):
-            self._converse_secure(conn, hello)
-            return
-        if isinstance(hello, RevokeNotice):
-            conn.send(answer_revocation(self, hello))
-            return
-        if isinstance(hello, (ReplDigest, ReplPull, ReplPush)):
-            conn.send(answer_replication(self, hello))
-            return
-        if not isinstance(hello, Hello):
-            conn.send(ErrorFrame(
-                "protocol",
-                f"expected HELLO, got {type(hello).__name__}",
-            ))
-            return
-        if hello.version != PROTOCOL_VERSION:
-            conn.send(ErrorFrame(
-                "version",
-                f"server speaks protocol {PROTOCOL_VERSION}, "
-                f"client sent {hello.version}",
-            ))
-            return
-        if not hello.sender or hello.sender == self.name:
-            conn.send(ErrorFrame(
-                "identity", f"invalid client identity {hello.sender!r}"
-            ))
-            return
-        served_group = self.access_server.agreement_config.group
-        requested_group = hello.group_id or WAVEKEY_GROUP_512.name
-        if requested_group != served_group.name:
-            conn.send(ErrorFrame(
-                GroupMismatch.wire_code,
-                f"server runs OT group {served_group.name!r}, "
-                f"client requested {requested_group!r}",
-            ))
-            return
-
-        hello_at = time.monotonic()
-        trace_parent = parent_from_context(hello.trace_context)
-        agreement = _NetAgreement(
-            conn, peer=hello.sender, server_name=self.name,
-            pool=self.access_server.ot_pool,
-        )
-        request = AccessRequest(
-            rng_seed=hello.rng_seed,
-            dynamic=hello.dynamic,
-            agreement_fn=agreement,
-            trace_context=trace_parent,
-        )
-        try:
-            ticket = self.access_server.submit(request)
-        except ServiceError as exc:
-            conn.send(ErrorFrame("unavailable", str(exc)))
-            return
-
-        if ticket.done():
-            record = ticket.result(timeout=0.1)
-            if record.state is SessionState.SHED:
-                # Structured load shedding, mapped to a wire error frame.
-                rejection = record.rejection
-                conn.send(ErrorFrame(
-                    "busy",
-                    f"{rejection.code}: queue "
-                    f"{rejection.queue_depth}/{rejection.queue_capacity}",
-                ))
-                self.metrics.counter("net.server.shed").inc()
-                return
-
-        config = self.access_server.agreement_config
-        conn.send(Accept(
-            sender=self.name,
-            session_id=request.session_id,
-            key_length_bits=config.key_length_bits,
-            eta=config.eta,
-        ))
-
-        budget = (
-            self.access_server.config.session_deadline_s
-            + self.verdict_grace_s
-        )
-        try:
-            record = ticket.result(timeout=budget)
-        except ServiceError as exc:
-            conn.send(ErrorFrame("timeout", str(exc)))
-            return
-        # Count before sending: a client acting on the verdict must
-        # never observe a stale sessions_served.
-        with self._lock:
-            self.sessions_served += 1
-        self.metrics.counter("net.server.sessions").inc()
-        self.metrics.histogram("net.session.latency").observe(
-            time.monotonic() - hello_at,
-            trace_id=(
-                trace_parent.trace_id
-                if trace_parent is not None
-                else getattr(
-                    getattr(record, "trace", None), "trace_id", None
-                )
-            ),
-        )
-        grant = issue_ticket_grant(self, record, hello.sender)
-        if grant is not None:
-            conn.send(grant)
-        conn.send(Verdict(
-            state=record.state.value,
-            attempts=record.attempts,
-            reason=record.failure_reason or "",
-            session_id=record.session_id,
-        ))
-
-    def _converse_secure(
-        self, conn: FrameConnection, request: ResumeRequest
-    ) -> None:
-        """Blocking secure-channel conversation (threaded parity with
-        the event-loop server's ``_SECURE`` state)."""
-        resume_start = time.monotonic()
-        parent = parent_from_context(request.trace_context)
-        if request.version != PROTOCOL_VERSION:
-            conn.send(ErrorFrame(
-                "version",
-                f"server speaks protocol {PROTOCOL_VERSION}, "
-                f"client sent {request.version}",
-            ))
-            return
-        tracer = resolve_tracer(self.access_server.tracer)
-        try:
-            with tracer.span(
-                "access.resume.accept", parent=parent,
-                peer=request.sender, ticket_id=request.ticket_id,
-            ):
-                ticket = self.key_store.resume(request.ticket_id)
-                channel, accept = ServerAccessChannel.accept(
-                    ticket,
-                    request.client_nonce,
-                    handler=self.op_handler,
-                    metrics=self.metrics,
-                    sender=self.name,
-                )
-        except TicketError as exc:
-            self.metrics.counter(
-                "access.resume", labels={"outcome": exc.wire_code}
-            ).inc()
-            if self.replicator is not None and isinstance(exc, TicketUnknown):
-                self.metrics.counter("replica.resume.miss").inc()
-            self.events.emit(
-                "access_resume_rejected", ticket_id=request.ticket_id,
-                code=exc.wire_code,
-            )
-            conn.send(ErrorFrame(exc.wire_code, str(exc)))
-            return
-        except AccessError as exc:
-            conn.send(ErrorFrame("resume_invalid", str(exc)))
-            return
-        channel.trace_parent = parent
-        channel.tracer = tracer
-        self.metrics.counter(
-            "access.resume", labels={"outcome": "ok"}
-        ).inc()
-        self.metrics.histogram("access.resume.latency").observe(
-            time.monotonic() - resume_start,
-            trace_id=parent.trace_id if parent is not None else None,
-        )
-        self.events.emit(
-            "access_resumed", ticket_id=ticket.ticket_id,
-            channel_id=channel.channel_id,
-        )
-        conn.send(accept)
-        while True:
-            try:
-                message = conn.recv(timeout_s=self.secure_idle_timeout_s)
-            except ConnectionTimeout:
-                self.metrics.counter("access.idle_timeouts").inc()
-                conn.send(ErrorFrame(
-                    "timeout",
-                    "secure channel idle for "
-                    f"{self.secure_idle_timeout_s:.1f}s",
-                ))
-                return
-            except ConnectionClosed:
-                return
-            if not isinstance(message, RecordFrame):
-                conn.send(ErrorFrame(
-                    "protocol",
-                    f"expected RECORD, got {type(message).__name__}",
-                ))
-                return
-            start = time.perf_counter()
-            try:
-                reply = channel.handle_record(message)
-            except RecordRejected as exc:
-                self.metrics.counter("access.records_rejected").inc()
-                self.events.emit(
-                    "access_record_rejected", error=str(exc)
-                )
-                conn.send(ErrorFrame("record_rejected", str(exc)))
-                return
-            except AccessError as exc:
-                conn.send(ErrorFrame("access", str(exc)))
-                return
-            self.metrics.histogram("access.op_s").observe(
-                time.perf_counter() - start
-            )
-            if reply is None:  # orderly "bye"
-                return
-            conn.send(reply)

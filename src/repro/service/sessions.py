@@ -26,7 +26,7 @@ class SessionState(enum.Enum):
     """Lifecycle of one key-establishment session."""
 
     QUEUED = "queued"          # admitted, waiting for a worker
-    ENCODING = "encoding"      # windows submitted to the micro-batcher
+    ENCODING = "encoding"      # acquiring and encoding the windows
     AGREEING = "agreeing"      # OT + reconciliation in flight
     ESTABLISHED = "established"  # terminal: key agreed
     FAILED = "failed"          # terminal: attempts exhausted

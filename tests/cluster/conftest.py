@@ -51,8 +51,8 @@ class Fleet:
         )
         access.start()
         seed = BitSequence.random(32, np.random.default_rng(7))
-        access._imu_batcher.batch_fn = lambda items: [seed for _ in items]
-        access._rf_batcher.batch_fn = lambda items: [seed for _ in items]
+        access.pipeline.imu_keyseed = lambda a_matrix: seed
+        access.pipeline.rfid_keyseed = lambda r_matrix: seed
         tcp = WaveKeyTCPServer(access, host, port)
         tcp.start()
         return access, tcp

@@ -54,16 +54,12 @@ def make_access_server(bundle, agreement_config=None, **config_kwargs):
 
 
 def pin_seeds(access_server, mobile_seed, server_seed=None):
-    """Force the micro-batchers to emit fixed seeds: identical seeds
+    """Force the encoders to emit fixed seeds: identical seeds
     guarantee agreement, seeds differing beyond the ECC radius
     guarantee failure."""
     server_seed = server_seed if server_seed is not None else mobile_seed
-    access_server._imu_batcher.batch_fn = (
-        lambda items: [mobile_seed for _ in items]
-    )
-    access_server._rf_batcher.batch_fn = (
-        lambda items: [server_seed for _ in items]
-    )
+    access_server.pipeline.imu_keyseed = lambda a_matrix: mobile_seed
+    access_server.pipeline.rfid_keyseed = lambda r_matrix: server_seed
 
 
 def matched_seed(bits=32, rng_seed=7):

@@ -55,8 +55,8 @@ class ReplicatedFleet:
         )
         access.start()
         seed = BitSequence.random(32, np.random.default_rng(7))
-        access._imu_batcher.batch_fn = lambda items: [seed for _ in items]
-        access._rf_batcher.batch_fn = lambda items: [seed for _ in items]
+        access.pipeline.imu_keyseed = lambda a_matrix: seed
+        access.pipeline.rfid_keyseed = lambda r_matrix: seed
         store = KeyStore(ttl_s=self.ticket_ttl_s, metrics=access.metrics)
         replicator = Replicator(
             store, anti_entropy_interval_s=self.anti_entropy_interval_s

@@ -110,31 +110,6 @@ class TestEstablishment:
         assert counters["service.established"] == 1
         assert server.metrics.histogram("service.total_s").count == 1
 
-    def test_sessions_share_encoder_batches(self, tiny_bundle):
-        gate = threading.Event()
-
-        def gated_agreement(*args, **kwargs):
-            gate.wait(10.0)
-            return ok_outcome(kwargs["clock"])
-
-        config = ServiceConfig(
-            workers=4, max_batch_size=4, max_batch_wait_s=0.05
-        )
-        with make_server(
-            tiny_bundle, config, agreement_fn=gated_agreement
-        ) as server:
-            tickets = [
-                server.submit(AccessRequest(rng_seed=i)) for i in range(4)
-            ]
-            gate.set()
-            records = [t.result(timeout=30) for t in tickets]
-        assert all(r.success for r in records)
-        counters = server.metrics.snapshot()["counters"]
-        # 4 windows went through fewer than 4 imu batches: coalescing
-        # actually happened (the 50 ms window gathers all four workers).
-        assert counters["imu_en.items"] == 4
-        assert counters["imu_en.batches"] < 4
-
 
 class TestTauDeadline:
     def test_slow_transport_times_out_the_protocol(self, tiny_bundle):
@@ -243,9 +218,7 @@ class TestLoadShedding:
             gate.wait(10.0)
             return ok_outcome(kwargs["clock"])
 
-        config = ServiceConfig(
-            workers=1, queue_capacity=2, max_batch_size=1
-        )
+        config = ServiceConfig(workers=1, queue_capacity=2)
         with make_server(
             tiny_bundle, config, agreement_fn=gated_agreement
         ) as server:
